@@ -6,7 +6,7 @@ scored through :meth:`BatchScheduleEvaluator.score_population` — one
 tensor replay per generation instead of one per candidate.  This
 benchmark runs the full GA (population 64) + refinement search on a
 16-job workload twice on the tensor backend: once with the vectorized
-kernels (``vectorized=None``, the auto dispatch) and once pinned to the
+kernels (``vectorized=True``, the default) and once pinned to the
 scalar search trajectory (``vectorized=False``, the per-schedule batch
 path this PR's predecessor gated on), and requires the vectorized path
 to be at least 3x faster while reaching an equal-or-better objective
@@ -59,7 +59,7 @@ def test_population_ga_refine_speedup(benchmark, bench_record):
     # Warm both legs once (numpy dispatch, interpolation tables) so the
     # timed runs compare steady-state search cost, not first-call setup.
     _search(predictor, jobs, False)
-    _search(predictor, jobs, None)
+    _search(predictor, jobs, True)
 
     t0 = time.perf_counter()
     ctx_b, sched_b, score_b = _search(predictor, jobs, False)
@@ -67,7 +67,7 @@ def test_population_ga_refine_speedup(benchmark, bench_record):
 
     t0 = time.perf_counter()
     ctx_v, sched_v, score_v = benchmark.pedantic(
-        lambda: _search(predictor, jobs, None),
+        lambda: _search(predictor, jobs, True),
         rounds=1, iterations=1, warmup_rounds=0,
     )
     vectorized_s = time.perf_counter() - t0

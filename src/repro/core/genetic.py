@@ -71,10 +71,9 @@ class GeneticScheduler:
     population lives as ``(P, n)`` index matrices, operators are batched
     array ops (:mod:`repro.perf.population`), and each generation is
     scored by one ``score_population`` lockstep replay.  ``vectorized``
-    forces the choice: ``True`` requires the population kernels (raising
-    if the context cannot support them), ``False`` pins the scalar
-    per-genome loop (the equivalence referee), ``None`` picks
-    automatically.
+    (default ``True``) uses the population kernels whenever the
+    evaluator's pair tables cover every job; ``False`` pins the scalar
+    per-genome loop (the equivalence referee).
     """
 
     def __init__(
@@ -87,7 +86,7 @@ class GeneticScheduler:
         seed=None,
         evaluator: ScheduleEvaluator | None = None,
         executor=None,
-        vectorized: bool | None = None,
+        vectorized: bool = True,
     ) -> None:
         ctx = SchedulingContext.coerce(
             predictor, jobs, cap_w, evaluator=evaluator, executor=executor, seed=seed
@@ -238,16 +237,10 @@ class GeneticScheduler:
         population — memetic seeding, which in practice lets the GA act as
         a *refiner* of the heuristic.
         """
-        if self.vectorized is not False:
+        if self.vectorized:
             ev = self._population_evaluator()
             if ev is not None:
                 return self._evolve_vectorized(ev, seed_schedule)
-            if self.vectorized is True:
-                raise ValueError(
-                    "vectorized evolution requires a tensor-backed context "
-                    "(BatchScheduleEvaluator with pair tables covering "
-                    "every job)"
-                )
         cfg = self.config
         population = [self._random_genome() for _ in range(cfg.population)]
         if seed_schedule is not None:
@@ -305,7 +298,7 @@ def genetic_schedule(
     seed_schedule: CoSchedule | None = None,
     evaluator: ScheduleEvaluator | None = None,
     executor=None,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> tuple[CoSchedule, float]:
     """Convenience wrapper around :class:`GeneticScheduler`."""
     return GeneticScheduler(

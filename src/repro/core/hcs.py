@@ -76,7 +76,7 @@ def hcs_schedule(
     seed: int | np.random.Generator | None = None,
     evaluator: ScheduleEvaluator | None = None,
     objective: Objective | str | None = None,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> HcsResult:
     """Compute an HCS (or, with ``refine=True``, HCS+) co-schedule.
 

@@ -175,7 +175,7 @@ def refine_schedule(
     seed: int | np.random.Generator | None = None,
     n_samples: int | None = None,
     evaluator: ScheduleEvaluator | None = None,
-    vectorized: bool | None = None,
+    vectorized: bool = True,
 ) -> CoSchedule:
     """Apply the three refinement passes; returns the improved schedule.
 
@@ -192,7 +192,7 @@ def refine_schedule(
     :mod:`repro.perf.population`): deterministic, samples nothing, and
     never accepts a smaller gain than the scalar passes would.
     ``vectorized=False`` pins the scalar sampling passes (the equivalence
-    referee); ``True`` requires the vectorized path.
+    referee).
     """
     ctx = _coerce_context(schedule, predictor, governor, evaluator)
     if ctx is not None:
@@ -211,20 +211,10 @@ def refine_schedule(
     if n_samples is None:
         n_samples = max(1, SAMPLES_PER_JOB * schedule.n_jobs)
     best = evaluate(schedule)
-    refined = (
-        _refine_vectorized(schedule, evaluate, best)
-        if vectorized is not False
-        else None
-    )
+    refined = _refine_vectorized(schedule, evaluate, best) if vectorized else None
     if refined is not None:
         schedule = refined
     else:
-        if vectorized is True:
-            raise ValueError(
-                "vectorized refinement requires a tensor-backed context "
-                "(BatchScheduleEvaluator with pair tables covering every "
-                "job)"
-            )
         schedule, best = _adjacent_pass(schedule, evaluate, best)
         schedule, best = _random_intra_pass(
             schedule, evaluate, best, rng, n_samples

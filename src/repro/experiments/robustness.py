@@ -17,6 +17,7 @@ the calibrated workload:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ class NoisyPredictor(CoRunPredictor):
         d_c, d_g = super().degradations(cpu_uid, gpu_uid, setting)
         if self.noise_sigma <= 0.0:
             return d_c, d_g
-        key = hash((cpu_uid, gpu_uid, setting, self.seed)) % (2**32)
-        rng = default_rng(int(key))
+        # crc32, not hash(): string hashing is salted per process, so the
+        # noise would change with PYTHONHASHSEED.
+        key = zlib.crc32(f"{cpu_uid}|{gpu_uid}|{setting!r}|{self.seed}".encode())
+        rng = default_rng(key)
         factors = np.exp(rng.normal(0.0, self.noise_sigma, size=2))
         return d_c * float(factors[0]), d_g * float(factors[1])
 
@@ -171,5 +174,5 @@ def run() -> ExperimentResult:
         "greedy HCS vs A* search (6 jobs, same predicted model)",
         format_table(["scheduler", "measured makespan (s)"], headroom, ndigits=2),
     )
-    result.headline["hcs_over_astar"] = headroom[0][1] / headroom[1][1]
+    result.headline["hcs_over_astar"] = headroom[0][1] / headroom[-1][1]
     return result

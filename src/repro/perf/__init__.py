@@ -13,7 +13,7 @@ predicted makespans — funnels through this package:
   repeated CLI / experiment runs start warm;
 * a vectorized tensor backend (:mod:`repro.perf.tensor`) that precomputes
   the whole ``(cpu_job, gpu_job, setting)`` question space as dense NumPy
-  tensors and answers scheduler queries — single, batched, or delta — with
+  tensors and answers scheduler queries — single or batched — with
   array lookups instead of interpolation chains;
 * vectorized population kernels (:mod:`repro.perf.population`) that run an
   entire GA generation or refinement neighborhood as ``(P, n)`` index

@@ -1,5 +1,9 @@
 """Tests for the robustness experiment suite."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import robustness
@@ -38,6 +42,34 @@ class TestNoisyPredictor:
         assert a.degradations("dwt2d", "cfd", s) == b.degradations(
             "dwt2d", "cfd", s
         )
+
+    def test_noise_is_independent_of_hash_seed(self):
+        """The noise is keyed by a stable digest, so two processes with
+        different string-hash salts perturb every pair identically."""
+        code = (
+            "from repro.experiments.common import default_runtime\n"
+            "from repro.experiments.robustness import NoisyPredictor\n"
+            "r = default_runtime()\n"
+            "p = NoisyPredictor(r.processor, r.table, r.space,"
+            " noise_sigma=0.5, seed=1)\n"
+            "uids = [j.uid for j in r.jobs]\n"
+            "s = r.processor.medium_setting\n"
+            "for g in uids[1:4]:\n"
+            "    print(repr(p.degradations(uids[0], g, s)))\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
     def test_noise_changes_predictions(self):
         runtime = default_runtime()

@@ -133,7 +133,7 @@ class TestRegistryEquivalence:
                 backend="tensor",
                 vectorized=pin,
             )
-            for pin in (None, False)
+            for pin in (True, False)
         ]
         assert vectorized.predicted_score <= scalar.predicted_score
 
@@ -168,19 +168,29 @@ class TestRegistryEquivalence:
             refined = refine_schedule(best, ctx, vectorized=pin)
             return ctx.evaluator(refined)
 
-        assert pipeline(None) <= pipeline(False)
+        assert pipeline(True) <= pipeline(False)
 
-    def test_vectorized_true_requires_tensor_backend(self, predictor, jobs):
-        with pytest.raises(ValueError, match="vectorized"):
+    @pytest.mark.parametrize("method", ["genetic", "hcs+"])
+    def test_vectorized_true_without_tensor_backend_runs_scalar(
+        self, method, predictor, jobs
+    ):
+        """``vectorized=True`` is a preference, not a requirement: where
+        the context has no pair tables it takes the scalar search and
+        returns exactly what ``vectorized=False`` does."""
+        preferred, pinned = [
             schedule(
                 jobs,
-                method="genetic",
+                method=method,
                 cap_w=CAP_W,
                 predictor=predictor,
-                seed=1,
+                seed=3,
                 backend="scalar",
-                vectorized=True,
+                vectorized=pin,
             )
+            for pin in (True, False)
+        ]
+        # repro: noqa REP003 -- byte-identical backend contract
+        assert _result_tuple(preferred) == _result_tuple(pinned)
 
 
 class TestBackendSelection:
