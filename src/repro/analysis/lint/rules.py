@@ -6,7 +6,9 @@ that nothing machine-checked before:
 * REP001 — schedulers accept a ``SchedulingContext``, not raw
   ``(predictor, jobs, cap_w)`` plumbing (outside ``repro.core`` itself).
 * REP002 — randomness flows through ``repro.util.rng`` / ``ctx.rng()``,
-  never the process-global ``random`` / ``numpy.random`` state.
+  never the process-global ``random`` / ``numpy.random`` state; non-test
+  code never calls the builtin ``hash()``, whose string hashing is salted
+  per process.
 * REP003 — no float ``==`` / ``!=`` on makespan/energy/power expressions;
   compare with a tolerance (exact-zero and identity-vs-string compares are
   exempt; byte-identical memoization checks carry a ``noqa``).
@@ -112,10 +114,14 @@ class DefaultRngRule(LintRule):
     rationale = (
         "Reproducibility is a headline property of the reproduction: every "
         "stochastic path must draw from util.rng.default_rng / ctx.rng() so "
-        "a seed replays the identical schedule."
+        "a seed replays the identical schedule. The builtin hash() is salted "
+        "per process for strings, so a seed or key derived from it differs "
+        "from run to run."
     )
 
     def findings(self, tree: ast.Module, path: PurePath) -> Iterator[Finding]:
+        # Tests may hash freely: a salted value there changes no schedule.
+        check_hash = not is_test_path(path)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -144,6 +150,13 @@ class DefaultRngRule(LintRule):
                         f"direct {'.'.join(chain)}() call; route randomness"
                         " through repro.util.rng (default_rng / spawn_rng)"
                         " or ctx.rng()",
+                    )
+                elif check_hash and chain == ("hash",):
+                    yield Finding(
+                        node,
+                        "builtin hash() is salted per process for strings;"
+                        " derive seeds and keys with zlib.crc32 or"
+                        " repro.util.rng.spawn_rng",
                     )
 
 

@@ -3,12 +3,14 @@
 Turns the batch reproduction into a running service: a long-lived daemon
 (:func:`~repro.service.async_server.serve_async`, ``repro serve`` on the
 command line) accepts job submissions over a newline-delimited JSON
-protocol, keeps a bounded multi-tenant admission queue with backpressure
-and per-tenant quotas, schedules arrived jobs with any method from the
+protocol, bounds each session's not-yet-started jobs (holding the excess
+in a per-tenant priority backlog, then answering backpressure), enforces
+per-tenant quotas, schedules arrived jobs with any method from the
 ``repro.core`` registry whenever a processor idles, reacts to live
-power-cap events mid-run, shards independent sessions across workers,
-and — with a durable directory — journals every job state transition
-through :mod:`repro.store` so acknowledged work survives ``kill -9``.
+power-cap events mid-run, and shards independent sessions across
+workers.  Every job's lifecycle lives in one place, the event-log fold
+of :mod:`repro.store`; with a durable directory that log is on disk, so
+acknowledged work survives ``kill -9``.
 See ``docs/API.md`` for the protocol schema and ``docs/SERVICE.md`` for
 the architecture (store, shards, admission, recovery).
 
@@ -27,7 +29,6 @@ from repro.service.protocol import (
     decode_response,
     encode,
 )
-from repro.service.queue import AdmissionDecision, JobState, SubmissionQueue
 from repro.service.server import ServiceState
 from repro.service.session import (
     CompletionRecord,
@@ -41,9 +42,6 @@ __all__ = [
     "decode_request",
     "decode_response",
     "encode",
-    "AdmissionDecision",
-    "JobState",
-    "SubmissionQueue",
     "ServiceMetrics",
     "CompletionRecord",
     "LateRejection",

@@ -49,8 +49,6 @@ class HeldSubmission:
     arrival_s: float
     tenant: str
     priority: int
-    program: str
-    scale: float
 
 
 @dataclass
@@ -58,15 +56,9 @@ class TenantLedger:
     """Per-tenant live-job accounting behind quota decisions."""
 
     live: dict[str, int] = field(default_factory=dict)
-    admitted: dict[str, int] = field(default_factory=dict)
-    rejected: dict[str, int] = field(default_factory=dict)
 
     def admit(self, tenant: str) -> None:
         self.live[tenant] = self.live.get(tenant, 0) + 1
-        self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-
-    def reject(self, tenant: str) -> None:
-        self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
 
     def finish(self, tenant: str) -> None:
         """A live job completed or was withdrawn; release its quota slot."""
@@ -93,15 +85,19 @@ class TenantBacklog:
         self._heaps: dict[str, list[tuple[int, int, HeldSubmission]]] = {}
         self._ring: deque[str] = deque()
         self._seq = 0
-        self._depth = 0
+        self._uids: set[str] = set()
 
     @property
     def depth(self) -> int:
-        return self._depth
+        return len(self._uids)
 
     @property
     def full(self) -> bool:
-        return self._depth >= self.capacity
+        return self.depth >= self.capacity
+
+    def __contains__(self, uid: str) -> bool:
+        """Is the job with ``uid`` held here?"""
+        return uid in self._uids
 
     def depths(self) -> dict[str, int]:
         return {tenant: len(heap) for tenant, heap in self._heaps.items()}
@@ -116,7 +112,7 @@ class TenantBacklog:
             self._ring.append(held.tenant)
         self._seq += 1
         heapq.heappush(heap, (-held.priority, self._seq, held))
-        self._depth += 1
+        self._uids.add(held.job.uid)
         return True
 
     def pop(self) -> HeldSubmission | None:
@@ -128,7 +124,7 @@ class TenantBacklog:
                 self._heaps.pop(tenant, None)
                 continue
             _, _, held = heapq.heappop(heap)
-            self._depth -= 1
+            self._uids.discard(held.job.uid)
             if heap:
                 self._ring.append(tenant)
             else:

@@ -1,11 +1,12 @@
 """Shared service state behind every listener front end.
 
 :class:`ServiceState` is everything behind a listener: the scheduling
-session, the bounded queue, multi-tenant admission (quotas + priority
-backlog), metrics, and the durable :class:`~repro.store.JobStore`.  Every
-job state transition is committed to the store's event log *before* the
-response that acknowledges it is returned, so an acknowledgement implies
-durability (group commit: batches flush once per request batch).  The
+session, multi-tenant admission (quotas + priority backlog), metrics, and
+the durable :class:`~repro.store.JobStore`.  The store is the one job
+table: every job state transition is committed to its event log *before*
+the response that acknowledges it is returned, so an acknowledgement
+implies durability (group commit: batches flush once per request batch),
+and the ``jobs`` endpoint reads the same fold a restart replays.  The
 asyncio front end in :mod:`repro.service.async_server` (and the sharded
 tier above it) drives this state; the protocol behaves identically
 regardless of transport.
@@ -34,10 +35,9 @@ from repro.service.admission import (
     TenantPolicy,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.queue import JobRecord, JobState, SubmissionQueue
 from repro.service.session import CompletionRecord, LateRejection, ServiceSession
 from repro.store import events as ev
-from repro.store.store import DONE, JobStore, LIVE_STATES, PREEMPTED, QUEUED
+from repro.store.store import JobStore, PREEMPTED, QUEUED, StoredJob
 
 #: Store lifecycle -> wire-level job state.
 _WIRE_STATE = {
@@ -74,7 +74,12 @@ def _rejection_info(rej: LateRejection) -> protocol.RejectionResponse:
 
 
 class ServiceState:
-    """Everything behind the socket: session, queue, store, one lock."""
+    """Everything behind the socket: session, store, backlog, one lock.
+
+    ``queue_capacity`` bounds the session's admitted-but-not-started jobs
+    (pending plus future arrivals); past it, submissions wait in the
+    tenant backlog or are refused with ``backpressure``.
+    """
 
     def __init__(
         self,
@@ -85,8 +90,10 @@ class ServiceState:
         tenant_policy: TenantPolicy | None = None,
         shard_id: int = 0,
     ) -> None:
+        if queue_capacity < 1:
+            raise ValueError("queue capacity must be >= 1")
         self.session = session
-        self.queue = SubmissionQueue(capacity=queue_capacity)
+        self.queue_capacity = queue_capacity
         self.metrics = ServiceMetrics()
         self.lock = threading.RLock()
         self.stopping = threading.Event()
@@ -137,44 +144,15 @@ class ServiceState:
                         f"program {stored.program!r} is no longer calibrated"
                     ),
                 ))
-                self.queue.restore_record(JobRecord(
-                    job_id=stored.job_id,
-                    program=stored.program,
-                    scale=stored.scale,
-                    state=JobState.REJECTED,
-                    arrival_s=stored.arrival_s,
-                    detail="unknown program after recovery",
-                ))
                 continue
             if stored.state != QUEUED:
                 requeues.append(ev.JobRequeued(job_id=stored.job_id))
-            job = Job(uid=stored.job_id, profile=profile)
-            arrival = self.session.submit(
-                job, max(stored.arrival_s, self.session.now)
+            self.session.submit(
+                Job(uid=stored.job_id, profile=profile),
+                max(stored.arrival_s, self.session.now),
             )
-            self.queue.restore_record(JobRecord(
-                job_id=stored.job_id,
-                program=stored.program,
-                scale=stored.scale,
-                state=JobState.QUEUED,
-                arrival_s=arrival,
-            ))
             self.ledger.admit(stored.tenant)
             self.recovered_jobs += 1
-        for stored in state.jobs.values():
-            if stored.state in LIVE_STATES:
-                continue
-            self.queue.restore_record(JobRecord(
-                job_id=stored.job_id,
-                program=stored.program,
-                scale=stored.scale,
-                state=(
-                    JobState.DONE if stored.state == DONE
-                    else JobState.REJECTED
-                ),
-                arrival_s=stored.arrival_s,
-                detail=stored.detail,
-            ))
         self.metrics.completed = state.completed
         if requeues:
             self.store.commit(*requeues)
@@ -232,10 +210,9 @@ class ServiceState:
         completions: list[CompletionRecord],
         rejections: list[LateRejection],
     ) -> tuple[list[protocol.CompletionInfo], list[protocol.RejectionResponse]]:
-        """Fold a session step's outcome into queue, store, and metrics."""
+        """Fold a session step's outcome into store, tenants, and metrics."""
         events: list[ev.Event] = []
         for record in completions:
-            self.queue.mark_done(record.job_id)
             self.metrics.completed += 1
             self.metrics.observe_completion(
                 turnaround_s=record.turnaround_s,
@@ -259,7 +236,6 @@ class ServiceState:
                 ))
                 self.ledger.finish(stored.tenant)
         for rej in rejections:
-            self.queue.mark_rejected(rej.job_id, rej.message)
             self.metrics.rejected_late += 1
             stored = self.store.job(rej.job_id)
             if stored is not None:
@@ -268,7 +244,6 @@ class ServiceState:
                 ))
                 self.ledger.finish(stored.tenant)
         for kind, job in self.session.running.items():
-            self.queue.mark_running(job.uid)
             stored = self.store.job(job.uid)
             if stored is not None and stored.state in (QUEUED, PREEMPTED):
                 start = self.session.sim.starts.get(job.uid)
@@ -306,20 +281,24 @@ class ServiceState:
 
     def _refill(self) -> None:
         """Admit held submissions into freed queue slots (priority order)."""
-        while self.backlog.depth and self.queue.depth < self.queue.capacity:
+        while self.backlog.depth and self._has_room():
             held = self.backlog.pop()
             if held is None:  # pragma: no cover - depth said otherwise
                 break
-            arrival = self.session.submit(
-                held.job, max(held.arrival_s, self.session.now)
-            )
-            record = self.queue.record(held.job.uid)
-            record.arrival_s = arrival
-            self.queue.mark_queued(held.job.uid)
+            self.session.submit(held.job, max(held.arrival_s, self.session.now))
 
     # ------------------------------------------------------------------
     # Admission helpers
     # ------------------------------------------------------------------
+    def _has_room(self) -> bool:
+        return self.session.queue_depth < self.queue_capacity
+
+    def _wire_state(self, stored: StoredJob) -> str:
+        """A stored job's wire state: ``held`` while it waits in the backlog."""
+        if stored.job_id in self.backlog:
+            return "held"
+        return _WIRE_STATE[stored.state]
+
     def _feasible(self, job: Job, program: str, scale: float) -> bool:
         key = (program, scale, self.session.cap_w)
         hit = self._feasible_memo.get(key)
@@ -328,27 +307,20 @@ class ServiceState:
             self._feasible_memo[key] = hit
         return hit
 
-    def _log_rejection(
-        self, req: protocol.SubmitRequest, job_id: str, arrival: float,
-        code: str, message: str,
-    ) -> None:
-        """Durably record a refused (but validated) submission."""
-        if job_id in self.store:
-            return
-        self.store.commit(
-            ev.JobSubmitted(
-                job_id=job_id,
-                program=req.program,
-                scale=req.scale,
-                arrival_s=arrival,
-                tenant=req.tenant,
-                priority=req.priority,
-                idempotency_key=req.idempotency_key,
-                objective=req.objective,
-            ),
-            ev.JobRejected(job_id=job_id, code=code, message=message),
+    @staticmethod
+    def _submitted(
+        req: protocol.SubmitRequest, job_id: str, arrival: float
+    ) -> ev.JobSubmitted:
+        return ev.JobSubmitted(
+            job_id=job_id,
+            program=req.program,
+            scale=req.scale,
+            arrival_s=arrival,
+            tenant=req.tenant,
+            priority=req.priority,
+            idempotency_key=req.idempotency_key,
+            objective=req.objective,
         )
-        self.ledger.reject(req.tenant)
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -372,9 +344,9 @@ class ServiceState:
             self.metrics.deduplicated += 1
             return protocol.SubmitResponse(
                 job_id=hit.job_id,
-                state=_WIRE_STATE[hit.state],
+                state=self._wire_state(hit),
                 arrival_s=hit.arrival_s,
-                queue_depth=self.queue.depth,
+                queue_depth=self.session.queue_depth,
                 deduplicated=True,
             )
         profile = self._programs.get(req.program)
@@ -410,7 +382,7 @@ class ServiceState:
             self.session.now if req.arrival_s is None
             else max(req.arrival_s, self.session.now)
         )
-        if job_id in self.queue or job_id in self.store:
+        if job_id in self.store:
             self.metrics.rejected_invalid += 1
             return protocol.RejectionResponse(
                 code="duplicate",
@@ -418,7 +390,7 @@ class ServiceState:
                 job_id=job_id,
                 cap_w=self.session.cap_w,
             )
-        room = self.queue.depth < self.queue.capacity
+        room = self._has_room()
         if not room and self.backlog.full:
             # Transient refusal: not logged to the store, so the client
             # may retry the same uid once the queue drains.
@@ -427,7 +399,7 @@ class ServiceState:
                 code="backpressure",
                 message=(
                     f"submission queue is full "
-                    f"({self.queue.depth}/{self.queue.capacity});"
+                    f"({self.session.queue_depth}/{self.queue_capacity});"
                     " retry after some jobs start"
                 ),
                 job_id=job_id,
@@ -440,9 +412,11 @@ class ServiceState:
                 f"no frequency setting admits {job_id!r} on either "
                 f"device under the {self.session.cap_w} W cap"
             )
-            self._log_rejection(req, job_id, arrival, "infeasible_cap", message)
-            self.queue.record_rejection(
-                job_id, req.program, req.scale, arrival, message
+            self.store.commit(
+                self._submitted(req, job_id, arrival),
+                ev.JobRejected(
+                    job_id=job_id, code="infeasible_cap", message=message
+                ),
             )
             return protocol.RejectionResponse(
                 code="infeasible_cap",
@@ -454,7 +428,6 @@ class ServiceState:
             # Transient, like backpressure: the uid stays reusable once
             # the tenant's live jobs finish.
             self.metrics.rejected_quota += 1
-            self.ledger.reject(req.tenant)
             message = (
                 f"tenant {req.tenant!r} is at its quota of "
                 f"{self.tenant_policy.quota} live jobs"
@@ -466,40 +439,25 @@ class ServiceState:
                 cap_w=self.session.cap_w,
             )
         self.store.commit(
-            ev.JobSubmitted(
-                job_id=job_id,
-                program=req.program,
-                scale=req.scale,
-                arrival_s=arrival,
-                tenant=req.tenant,
-                priority=req.priority,
-                idempotency_key=req.idempotency_key,
-                objective=req.objective,
-            ),
+            self._submitted(req, job_id, arrival),
             ev.JobAdmitted(job_id=job_id, cap_w=self.session.cap_w),
         )
         self.ledger.admit(req.tenant)
         self.metrics.admitted += 1
         if room:
             arrival = self.session.submit(job, arrival)
-            self.queue.enqueue(job_id, req.program, req.scale, arrival)
-            state = "queued"
         else:
             self.backlog.push(HeldSubmission(
                 job=job,
                 arrival_s=arrival,
                 tenant=req.tenant,
                 priority=req.priority,
-                program=req.program,
-                scale=req.scale,
             ))
-            self.queue.hold(job_id, req.program, req.scale, arrival)
-            state = "held"
         return protocol.SubmitResponse(
             job_id=job_id,
-            state=state,
+            state=self._wire_state(self.store.state.jobs[job_id]),
             arrival_s=arrival,
-            queue_depth=self.queue.depth,
+            queue_depth=self.session.queue_depth,
         )
 
     def _handle_set_cap(self, req: protocol.SetCapRequest):
@@ -550,7 +508,7 @@ class ServiceState:
         return protocol.StatusResponse(
             now_s=self.session.now,
             cap_w=self.session.cap_w,
-            queue_depth=self.queue.depth,
+            queue_depth=self.session.queue_depth,
             running=[job.uid for job in self.session.running.values()],
             completed=self.metrics.completed,
             rejected=self.metrics.rejected,
@@ -572,20 +530,28 @@ class ServiceState:
             extra[f"tenant_backlog_{tenant}"] = float(n)
         return protocol.MetricsResponse(
             metrics=self.metrics.snapshot(
-                queue_depth=self.queue.depth,
+                queue_depth=self.session.queue_depth,
                 running=len(self.session.running),
                 now_s=self.session.now,
                 cap_w=self.session.cap_w,
                 cache=self.session.cache.snapshot(),
-                headroom=self.queue.headroom,
+                headroom=max(0, self.queue_capacity - self.session.queue_depth),
                 extra=extra,
             )
         )
 
     def _handle_jobs(self, req: protocol.JobsRequest):
-        return protocol.JobsResponse(
-            jobs=[r.as_dict() for r in self.queue.records()]
-        )
+        return protocol.JobsResponse(jobs=[
+            {
+                "job_id": job.job_id,
+                "program": job.program,
+                "scale": job.scale,
+                "state": self._wire_state(job),
+                "arrival_s": job.arrival_s,
+                "detail": job.detail,
+            }
+            for job in self.store.state.jobs.values()
+        ])
 
     def _handle_shutdown(self, req: protocol.ShutdownRequest):
         done, _ = self._drain_all()

@@ -1,7 +1,7 @@
 """Sharded scheduling sessions: inline (in-process) or worker processes.
 
 Each shard owns one independent :class:`~repro.service.server.ServiceState`
-— its own SimCore-driven session, queue, tenants, and durable store file
+— its own SimCore-driven session, tenants, backlog, and durable store file
 (``shard-<n>.sqlite``) — and submissions route to shards by a stable hash
 of their session key (the tenant), so one tenant's timeline always lands
 on the same shard, across connections *and* across restarts.

@@ -97,6 +97,46 @@ class TestRep002DefaultRng:
         )
         assert vs == []
 
+    HASH_SNIPPET = """
+        def seed_for(name):
+            return hash(name) % 1000
+    """
+
+    def test_flags_builtin_hash_in_source(self, tmp_path):
+        vs = lint_snippet(tmp_path, "src/repro/experiments/h.py", self.HASH_SNIPPET)
+        assert codes(vs) == ["REP002"]
+        assert "salted" in vs[0].message
+
+    def test_builtin_hash_noqa(self, tmp_path):
+        vs = lint_snippet(
+            tmp_path,
+            "src/repro/experiments/h.py",
+            """
+            def key(pair):
+                return hash(pair)  # repro: noqa REP002 -- in-process only
+            """,
+        )
+        assert vs == []
+
+    @pytest.mark.parametrize(
+        "rel", ["tests/experiments/helpers.py", "src/repro/experiments/test_h.py"]
+    )
+    def test_builtin_hash_allowed_in_tests(self, tmp_path, rel):
+        assert lint_snippet(tmp_path, rel, self.HASH_SNIPPET) == []
+
+    def test_hash_method_is_not_the_builtin(self, tmp_path):
+        vs = lint_snippet(
+            tmp_path,
+            "src/repro/store/digest.py",
+            """
+            import hashlib
+
+            def digest(data):
+                return hashlib.sha256(data).hexdigest()
+            """,
+        )
+        assert vs == []
+
 
 class TestRep003FloatEquality:
     def test_flags_metric_equality(self, tmp_path):
