@@ -122,6 +122,16 @@ def _maybe_sanitize(ctx: SchedulingContext, result: ScheduleResult) -> None:
         check_schedule(ctx, result.schedule, where=f"registry:{result.method}")
 
 
+def _cache_stats(ctx: SchedulingContext) -> dict[str, float]:
+    """The evaluator's counters (cache plus any ``tensor_*`` batch stats).
+
+    A multi-node context resolves no evaluator; it reports its cache.
+    """
+    if ctx.evaluator is not None:
+        return ctx.evaluator.snapshot()
+    return ctx.cache.snapshot()
+
+
 def _finalize(result: ScheduleResult, ctx: SchedulingContext) -> ScheduleResult:
     """Fill result fields only the caller-side context knows."""
     if result.cache_stats is None or result.governor is None:
@@ -133,7 +143,7 @@ def _finalize(result: ScheduleResult, ctx: SchedulingContext) -> ScheduleResult:
             cache_stats=(
                 result.cache_stats
                 if result.cache_stats is not None
-                else ctx.cache.snapshot()
+                else _cache_stats(ctx)
             ),
             objective=result.objective,
             predicted_score=result.predicted_score,

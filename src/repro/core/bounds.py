@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.hardware.device import DeviceKind
 from repro.workload.program import Job
 from repro.core.feasibility import pair_settings_under_cap
@@ -121,10 +123,13 @@ def _tensor_lower_bound(
 ) -> tuple[float, list[LowerBoundDetail]] | None:
     """Vectorized ``T_low`` over a tensor-backed predictor, or ``None``.
 
-    Every minimum reduces the same candidate sets the scalar loops walk:
-    ``t_corun_c[i, j, s]`` is computed with the identical arithmetic as the
-    scalar ``l * (1.0 + d)``, and minima over float64 candidates are
-    order-independent, so the result is bitwise equal.
+    Every minimum reduces the same candidate sets the scalar loops walk,
+    over pair blocks of the job subset (:meth:`TensorModel.row_blocks
+    <repro.perf.tensor.TensorModel.row_blocks>`): a block's co-run times
+    are computed with the identical arithmetic as the scalar
+    ``l * (1.0 + d)``, and minima over float64 candidates are
+    order-independent, so the result is bitwise equal whatever the block
+    size.  Working memory is one block, not the subset's full pair space.
     """
     tensor = getattr(predictor, "tensor", None)
     if tensor is None:
@@ -132,11 +137,24 @@ def _tensor_lower_bound(
     if any(job.uid not in tensor.index for job in jobs):
         return None
     masks = tensor.masks(cap_w)
+    idx = np.array([tensor.index[job.uid] for job in jobs], dtype=np.intp)
+    m = len(idx)
+    # Best cap-feasible co-run time of each job with any *other* job (by
+    # uid, as the scalar loop skips), as the CPU side and as the GPU side.
+    corun = {kind: np.full(m, np.inf) for kind in DeviceKind}
+    for rows in tensor.row_blocks(m, m):
+        _, _, t_c, t_g, power = tensor.pair_block(idx[rows], idx)
+        ok = (power <= cap_w) & (idx[rows][:, None] != idx[None, :])[..., None]
+        corun[DeviceKind.CPU][rows] = np.where(ok, t_c, np.inf).min(axis=(1, 2))
+        np.minimum(
+            corun[DeviceKind.GPU],
+            np.where(ok, t_g, np.inf).min(axis=(0, 2)),
+            out=corun[DeviceKind.GPU],
+        )
     details: list[LowerBoundDetail] = []
     total = 0.0
-    for job in jobs:
-        i = tensor.index[job.uid]
-        partners = [tensor.index[o.uid] for o in jobs if o.uid != job.uid]
+    for k, job in enumerate(jobs):
+        i = idx[k]
         best_corun = float("inf")
         best_solo = float("inf")
         for kind in DeviceKind:
@@ -145,16 +163,7 @@ def _tensor_lower_bound(
             if not masks.best_solo_valid[kind][i]:
                 continue
             best_solo = min(best_solo, float(masks.best_solo_time[kind][i]))
-            if not partners:
-                continue
-            if kind is DeviceKind.CPU:
-                times = tensor.t_corun_c[i, partners, :]
-                ok = masks.pair_ok[i, partners, :]
-            else:
-                times = tensor.t_corun_g[partners, i, :]
-                ok = masks.pair_ok[partners, i, :]
-            if ok.any():
-                best_corun = min(best_corun, float(times[ok].min()))
+            best_corun = min(best_corun, float(corun[kind][k]))
         if best_solo == float("inf"):
             raise ValueError(f"{job.uid} cannot run under the cap at all")
         contribution = min(best_corun, 2.0 * best_solo)

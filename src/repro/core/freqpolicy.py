@@ -98,6 +98,10 @@ class ModelGovernor:
     predictor: CoRunPredictor
     cap_w: float
     _cache: dict = field(default_factory=dict)
+    #: (predictor, cap_w, PairTables | None), resolved by governor_tables.
+    _tables: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __call__(self, cpu_job: Job | None, gpu_job: Job | None) -> FrequencySetting:
         key = (
@@ -138,8 +142,15 @@ class ModelGovernor:
         This is the ranking quantity of the heuristic's Step 3 ("traverses
         all frequency settings allowed by the power cap to compute the
         minimal degradation").  Returns ``None`` when no setting fits the
-        cap.
+        cap.  Over a tensor-backed predictor the answer is read from the
+        governor's pair tables; the loop below is the scalar path and the
+        tables' referee.
         """
+        from repro.perf.tensor import governor_tables
+
+        tables = governor_tables(self)
+        if tables is not None and tables.covers(cpu_uid, gpu_uid):
+            return tables.min_pair_interference(cpu_uid, gpu_uid)
         feasible = pair_settings_under_cap(
             self.predictor, cpu_uid, gpu_uid, self.cap_w
         )

@@ -144,6 +144,10 @@ class EnergyAwareGovernor:
     cap_w: Watts
     objective: Objective = Objective.ENERGY
     _cache: dict = field(default_factory=dict)
+    #: (predictor, cap_w, PairTables | None), resolved by governor_tables.
+    _tables: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.objective = Objective.coerce(self.objective)
@@ -225,8 +229,15 @@ class EnergyAwareGovernor:
         <repro.core.freqpolicy.ModelGovernor.min_pair_interference>`); here
         the ranking currency is the objective cost rather than the summed
         degradations, so an energy context pairs jobs that are cheap to run
-        *together*.  Returns ``None`` when no setting fits the cap.
+        *together*.  Returns ``None`` when no setting fits the cap.  Over a
+        tensor-backed predictor the answer is read from the governor's pair
+        tables; the loop below is the scalar path and the tables' referee.
         """
+        from repro.perf.tensor import governor_tables
+
+        tables = governor_tables(self)
+        if tables is not None and tables.covers(cpu_uid, gpu_uid):
+            return tables.min_pair_interference(cpu_uid, gpu_uid)
         feasible = pair_settings_under_cap(
             self.predictor, cpu_uid, gpu_uid, self.cap_w
         )

@@ -11,10 +11,10 @@ predicted makespans — funnels through this package:
   baseline, GA population evaluation, and brute-force enumeration;
 * an optional on-disk cache (:class:`DiskCache`, ``REPRO_CACHE_DIR``) so
   repeated CLI / experiment runs start warm;
-* a vectorized tensor backend (:mod:`repro.perf.tensor`) that precomputes
-  the whole ``(cpu_job, gpu_job, setting)`` question space as dense NumPy
-  tensors and answers scheduler queries — single or batched — with
-  array lookups instead of interpolation chains;
+* a vectorized tensor backend (:mod:`repro.perf.tensor`) that sweeps the
+  whole ``(cpu_job, gpu_job, setting)`` question space in fixed-size
+  blocks into per-pair tables and answers scheduler queries — single or
+  batched — with array lookups instead of interpolation chains;
 * vectorized population kernels (:mod:`repro.perf.population`) that run an
   entire GA generation or refinement neighborhood as ``(P, n)`` index
   matrices scored by one lockstep ``score_population`` replay.

@@ -4,34 +4,38 @@ PR 1's :class:`~repro.perf.cache.EvalCache` deduplicates repeated model
 queries but leaves every *cold* query on the scalar Python call chain
 (``CoRunPredictor.degradations`` -> ``ProfileTable.demand_gbps`` -> staged
 bilinear interpolation), one ``(pair, setting)`` at a time.  This module
-precomputes the whole question space once per model and answers everything
-afterwards with O(1) array lookups:
+vectorizes that chain over whole blocks of the question space and reduces
+the blocks into per-pair tables that everything afterwards reads with O(1)
+array lookups:
 
 :class:`TensorModel`
-    Dense ``float64`` tensors over the full cross-product
-    ``(cpu_job x gpu_job x frequency_setting)`` — degradation pair, co-run
-    time pair, pair power, per-cap boolean feasibility masks — plus
-    per-``(job, device)`` solo time/power vectors.  Built by vectorizing
-    the :class:`~repro.model.interpolation.BilinearGrid` evaluation and the
-    :class:`~repro.model.profiler.ProfileTable` lookups over arrays,
-    operation for operation, so every element is *bitwise identical* to the
-    scalar chain's answer.
+    Per-``(job, device)`` level vectors from the profile table plus one
+    exact kernel, :meth:`TensorModel.pair_block`, which computes the five
+    pair quantities — degradation pair, co-run time pair, pair power — for
+    a block of ``(cpu_job x gpu_job x frequency_setting)`` cells.  The
+    kernel vectorizes the :class:`~repro.model.interpolation.BilinearGrid`
+    evaluation and the :class:`~repro.model.profiler.ProfileTable` lookups
+    operation for operation, so every element is *bitwise identical* to
+    the scalar chain's answer.  No ``(n, n, settings)`` array is retained:
+    reductions walk CPU-job row blocks of at most :data:`BLOCK_ELEMENTS`
+    cells, and point queries read one-pair blocks from a small LRU.
 
 :class:`TensorBackedPredictor`
-    A drop-in predictor wrapper that serves the hot queries from the tensor
+    A drop-in predictor wrapper that serves the hot queries from the model
     through the same :class:`~repro.perf.cache.EvalCache` keys the scalar
     :class:`~repro.perf.evaluator.CachingPredictor` uses — identical cache
     hit/miss behavior, but a miss costs an array lookup instead of an
-    interpolation chain.  Queries outside the tensor's coverage (unknown
+    interpolation chain.  Queries outside the model's coverage (unknown
     uids, off-grid frequencies) delegate to the wrapped predictor.
 
 :class:`PairTables`
-    Per-(governor, cap) reduction of the tensors: for every (cpu job, gpu
-    job) pair the governor's chosen setting and the resulting co-run
-    times/power, and for every (job, device) the chosen solo level — the
-    complete set of constants a timeline replay consumes.  Argmin ties
-    resolve to the first feasible setting in enumeration order, exactly as
-    the governors' ``min()`` does.
+    Per-(governor, cap) reduction of the pair blocks: for every (cpu job,
+    gpu job) pair the governor's chosen setting and the resulting co-run
+    times/power, the pair's step-3 ranking cost (``min_pair_interference``)
+    and its setting, and for every (job, device) the chosen solo level —
+    the complete set of constants a timeline replay and the greedy pairing
+    consume.  Argmin ties resolve to the first feasible setting in
+    enumeration order, exactly as the governors' ``min()`` does.
 
 :class:`BatchScheduleEvaluator`
     A :class:`~repro.perf.evaluator.ScheduleEvaluator` whose replay reads
@@ -52,17 +56,19 @@ afterwards with O(1) array lookups:
     tagged with the backend so mixed backends can never serve each other's
     entries.
 
-Anything the tensors cannot represent exactly — oracle or noisy predictors,
+Anything the model cannot represent exactly — oracle or noisy predictors,
 subclassed spaces, jobs missing from the profile table — makes
 :func:`tensorize` return ``None`` and the caller falls back to the scalar
-path.  Exactness is enforced by ``tests/perf/test_tensor_model.py`` /
-``test_tensor_equivalence.py`` and the ``REPRO_SANITIZE=1`` verifier.
+path.  Job count is never a reason to fall back: memory is O(n^2) for the
+tables plus one block.  Exactness is enforced by
+``tests/perf/test_tensor_model.py`` / ``test_tensor_equivalence.py`` /
+``test_pair_blocks.py`` and the ``REPRO_SANITIZE=1`` verifier.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +79,18 @@ from repro.hardware.device import DeviceKind
 from repro.perf.cache import EvalCache, ensure_cache
 from repro.perf.evaluator import CachingPredictor, ScheduleEvaluator
 
-#: Refuse to materialize pair tensors larger than this many elements each
-#: (n_jobs^2 x n_settings).  Beyond it the precompute no longer amortizes
-#: and the memory cost stops being negligible; callers fall back to scalar.
-MAX_TENSOR_ELEMENTS = 2_000_000
+#: Cells (rows x columns x settings) in one pair block.  Every pass over
+#: the pair space walks CPU-job rows in blocks of at most this many cells,
+#: so its working memory is fixed whatever the job count.
+BLOCK_ELEMENTS = 65_536
+
+#: A profile table with at most this many pair cells (n^2 x settings) gets
+#: one model over all its jobs, shared by every job subset; a larger table
+#: gets a model over just the requested jobs.
+TABLE_WIDE_ELEMENTS = 2_000_000
+
+#: One-pair ``(settings,)`` blocks each model keeps for point queries.
+_PAIR_ROW_LIMIT = 256
 
 #: Completion tolerance of the mean-field replay (must equal
 #: ``repro.core.schedule._EPS``; asserted by the equivalence tests).
@@ -89,7 +103,10 @@ def _grid_eval(grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every step mirrors the scalar implementation exactly (same clip,
     ``searchsorted`` side, index clamp, and left-to-right sum order), so
     each output element is bitwise equal to the scalar call at the same
-    coordinates.
+    coordinates.  ``x`` and ``y`` may be broadcastable rather than equal
+    shapes — a pair block passes ``(rows, 1, S)`` and ``(1, cols, S)`` —
+    so the per-axis steps run once per row or column and only the final
+    gather and sum span the whole block.
     """
     xs, ys, v = grid.x_levels, grid.y_levels, grid.values
     x = np.clip(x, xs[0], xs[-1])
@@ -116,10 +133,9 @@ def _grid_eval(grid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CapMasks:
-    """Cap-dependent feasibility masks and best-solo reductions."""
+    """Cap-dependent solo feasibility and best-solo reductions."""
 
     cap_w: Watts
-    pair_ok: np.ndarray               # (n, n, S) bool
     solo_ok: dict                      # kind -> (n, L) bool
     best_solo_idx: dict                # kind -> (n,) int (argmin time over feasible)
     best_solo_time: dict               # kind -> (n,) float (inf when infeasible)
@@ -127,7 +143,13 @@ class _CapMasks:
 
 
 class TensorModel:
-    """Precomputed dense model tensors for one (predictor, job set).
+    """Exact pair-block kernel and solo vectors for one (predictor, job set).
+
+    Holds only O(n x settings) state: the per-(job, device) level vectors
+    of the profile table and their per-setting expansions.  Pair
+    quantities are computed on demand by :meth:`pair_block` — whole-table
+    reductions (:class:`PairTables`, the lower bound) walk row blocks from
+    :meth:`row_blocks`, point queries read memoized one-pair blocks.
 
     ``base`` must be a plain :class:`~repro.model.predictor.CoRunPredictor`
     (exact type — subclasses may override the arithmetic) over an exact
@@ -157,7 +179,6 @@ class TensorModel:
 
         # Settings in processor.settings() enumeration order: cpu-major.
         self.settings = list(self.processor.settings())
-        S = len(self.settings)
         lc = np.repeat(np.arange(n_cpu), n_gpu)   # cpu level index of setting s
         lg = np.tile(np.arange(n_gpu), n_cpu)     # gpu level index of setting s
 
@@ -166,44 +187,34 @@ class TensorModel:
         shapes = {DeviceKind.CPU: (n, n_cpu), DeviceKind.GPU: (n, n_gpu)}
         self.solo_time = {k: np.empty(s) for k, s in shapes.items()}
         self.solo_chip_power = {k: np.empty(s) for k, s in shapes.items()}
-        self._demand = {k: np.empty(s) for k, s in shapes.items()}
-        self._own_power = {k: np.empty(s) for k, s in shapes.items()}
+        demand = {k: np.empty(s) for k, s in shapes.items()}
+        own_power = {k: np.empty(s) for k, s in shapes.items()}
         for kind in DeviceKind:
             for i, uid in enumerate(self.uids):
                 prof = table._profiles[(uid, kind)]
                 self.solo_time[kind][i] = prof.time_s
                 self.solo_chip_power[kind][i] = prof.chip_power_w
-                self._demand[kind][i] = prof.demand_gbps
-                self._own_power[kind][i] = prof.own_power_w
+                demand[kind][i] = prof.demand_gbps
+                own_power[kind][i] = prof.own_power_w
 
-        # Broadcast coordinates over the (cpu_job i, gpu_job j, setting s) cube.
-        bw_c = np.broadcast_to(
-            self._demand[DeviceKind.CPU][:, lc][:, None, :], (n, n, S)
-        )
-        bw_g = np.broadcast_to(
-            self._demand[DeviceKind.GPU][:, lg][None, :, :], (n, n, S)
-        )
+        # The same vectors expanded over settings, (n, S) each: the CPU
+        # side indexes a block's rows, the GPU side its columns.  Unscaled
+        # even on node clones (pair_block applies the scaling last).
+        cpu, gpu = DeviceKind.CPU, DeviceKind.GPU
+        self._bw_c = demand[cpu][:, lc]
+        self._bw_g = demand[gpu][:, lg]
+        self._t_solo_c = self.solo_time[cpu][:, lc]
+        self._t_solo_g = self.solo_time[gpu][:, lg]
+        self._own_c = own_power[cpu][:, lc]
+        self._own_g = own_power[gpu][:, lg]
+        self._space = base.space
+        self._uncore = self.processor.power.uncore
+        self._anchor_weights = _anchor_weights(base.space, self.settings)
 
-        space = base.space
-        self.deg_c, self.deg_g = _degradation_tensors(space, bw_c, bw_g, self.settings)
-
-        time_c = self._demand[DeviceKind.CPU]  # placeholder to appease linters
-        del time_c
-        t_solo_c = self.solo_time[DeviceKind.CPU][:, lc][:, None, :]
-        t_solo_g = self.solo_time[DeviceKind.GPU][:, lg][None, :, :]
-        # Same binary-op order as CoRunPredictor.corun_times: t * (1.0 + d).
-        self.t_corun_c = t_solo_c * (1.0 + self.deg_c)
-        self.t_corun_g = t_solo_g * (1.0 + self.deg_g)
-
-        # Same op order as CoRunPredictor.pair_power_w:
-        # own_c + own_g + (base + per_gbps * (bw_c + bw_g)).
-        uncore = self.processor.power.uncore
-        own_c = self._own_power[DeviceKind.CPU][:, lc][:, None, :]
-        own_g = self._own_power[DeviceKind.GPU][:, lg][None, :, :]
-        self.pair_power = own_c + own_g + (
-            uncore.base_w + uncore.per_gbps_w * (bw_c + bw_g)
-        )
-
+        #: (speed_scale, power_scale) node scalings, applied in order by
+        #: pair_block; set on clones by :meth:`scaled`.
+        self._scales: tuple = ()
+        self._pair_rows: dict[tuple, tuple] = {}
         self._cap_masks: dict[float, _CapMasks] = {}
         self._pair_tables: dict[tuple, object] = {}
         #: Name of the fleet node this model is scaled for (None = the
@@ -223,12 +234,12 @@ class TensorModel:
         """A clone of this model through one fleet node's scaling (memoized).
 
         Times divide by ``speed_scale`` and powers multiply by
-        ``power_scale`` — elementwise over the already-exact tensors, the
-        same two float operations :class:`~repro.core.fleet.NodePredictor`
-        applies to each scalar answer, so scaled tensor and scaled scalar
-        stay bitwise identical.  Degradations are ratios and are shared
-        untouched; cap masks and pair tables start fresh (they depend on
-        the scaled powers).
+        ``power_scale`` — the solo vectors here, pair blocks inside
+        :meth:`pair_block` — the same two float operations
+        :class:`~repro.core.fleet.NodePredictor` applies to each scalar
+        answer, so scaled tensor and scaled scalar stay bitwise identical.
+        Degradations are ratios and stay unscaled; cap masks, pair rows and
+        pair tables start fresh (they depend on the scaled powers).
         """
         # repro: noqa REP003 -- exact identity gate: only a literal 1.0 scale shares the model
         if speed_scale == 1.0 and power_scale == 1.0:
@@ -245,9 +256,8 @@ class TensorModel:
         clone.solo_chip_power = {
             k: v * power_scale for k, v in self.solo_chip_power.items()
         }
-        clone.t_corun_c = self.t_corun_c / speed_scale
-        clone.t_corun_g = self.t_corun_g / speed_scale
-        clone.pair_power = self.pair_power * power_scale
+        clone._scales = self._scales + ((speed_scale, power_scale),)
+        clone._pair_rows = {}
         clone._cap_masks = {}
         clone._pair_tables = {}
         clone._scaled_memo = {}
@@ -277,26 +287,89 @@ class TensorModel:
         )
         return levels.get(f_ghz)
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate precompute footprint (the five pair tensors)."""
-        return int(
-            self.deg_c.nbytes
-            + self.deg_g.nbytes
-            + self.t_corun_c.nbytes
-            + self.t_corun_g.nbytes
-            + self.pair_power.nbytes
+    # ------------------------------------------------------------------
+    # Pair blocks
+    # ------------------------------------------------------------------
+    def pair_block(self, rows, cols):
+        """``(deg_c, deg_g, t_c, t_g, power)`` for a block of job pairs.
+
+        ``rows`` selects CPU jobs and ``cols`` GPU jobs (slices or index
+        arrays into :attr:`uids`); each result is a ``(rows, cols, S)``
+        array over every frequency setting.  Elementwise these are the
+        scalar chain's operations in the scalar order — degradations per
+        the space, ``t * (1.0 + d)`` as in ``CoRunPredictor.corun_times``,
+        ``own_c + own_g + (base + per_gbps * (bw_c + bw_g))`` as in
+        ``CoRunPredictor.pair_power_w``, then any node scaling — so a cell
+        is bitwise identical whatever block it is computed in.
+        """
+        bw_c = self._bw_c[rows][:, None, :]
+        bw_g = self._bw_g[cols][None, :, :]
+        deg_c, deg_g = self._degradations(bw_c, bw_g)
+        t_c = self._t_solo_c[rows][:, None, :] * (1.0 + deg_c)
+        t_g = self._t_solo_g[cols][None, :, :] * (1.0 + deg_g)
+        uncore = self._uncore
+        power = self._own_c[rows][:, None, :] + self._own_g[cols][None, :, :] + (
+            uncore.base_w + uncore.per_gbps_w * (bw_c + bw_g)
         )
+        for speed_scale, power_scale in self._scales:
+            t_c = t_c / speed_scale
+            t_g = t_g / speed_scale
+            power = power * power_scale
+        return deg_c, deg_g, t_c, t_g, power
+
+    def row_blocks(self, n_rows: int, n_cols: int) -> Iterator[slice]:
+        """Row slices covering ``n_rows`` in blocks of <= BLOCK_ELEMENTS cells."""
+        step = max(1, BLOCK_ELEMENTS // max(1, n_cols * len(self.settings)))
+        for r0 in range(0, n_rows, step):
+            yield slice(r0, min(n_rows, r0 + step))
+
+    def _degradations(self, bw_c, bw_g):
+        """(deg_c, deg_g) over a block, exact to the space."""
+        space = self._space
+        if self._anchor_weights is None:
+            # Scalar: max(0.0, grid(bw_c, bw_g)); the setting is ignored.
+            deg_c = np.maximum(_grid_eval(space.cpu_grid, bw_c, bw_g), 0.0)
+            deg_g = np.maximum(_grid_eval(space.gpu_grid, bw_c, bw_g), 0.0)
+            return deg_c, deg_g
+        # Scalar: sum(w_a * grid_a(bw_c, bw_g)) accumulated in anchor order
+        # from int 0, then max(0.0, float(value)).  0.0 + x and in-order
+        # adds keep the accumulation bitwise identical.
+        shape = np.broadcast_shapes(bw_c.shape, bw_g.shape)
+        acc_c = np.zeros(shape)
+        acc_g = np.zeros(shape)
+        for w, anchor in zip(self._anchor_weights, space.anchors):
+            acc_c = acc_c + w * _grid_eval(anchor.cpu_grid, bw_c, bw_g)
+            acc_g = acc_g + w * _grid_eval(anchor.gpu_grid, bw_c, bw_g)
+        return np.maximum(acc_c, 0.0), np.maximum(acc_g, 0.0)
+
+    def _pair_row(self, cpu_uid, gpu_uid) -> tuple:
+        """One pair's five ``(S,)`` vectors, from a small LRU of pair blocks.
+
+        Pop-and-reinsert keeps recency in dict order with single dict
+        operations, so threads sharing the model can at worst recompute
+        an identical row.
+        """
+        key = (self.index[cpu_uid], self.index[gpu_uid])
+        rows = self._pair_rows
+        row = rows.pop(key, None)
+        if row is None:
+            i, j = key
+            row = tuple(
+                a[0, 0] for a in self.pair_block(slice(i, i + 1), slice(j, j + 1))
+            )
+            if len(rows) >= _PAIR_ROW_LIMIT:
+                rows.pop(next(iter(rows)), None)
+        rows[key] = row
+        return row
 
     # ------------------------------------------------------------------
     # Cap masks
     # ------------------------------------------------------------------
     def masks(self, cap_w: Watts) -> _CapMasks:
-        """Feasibility masks and best-solo reductions for one cap (memoized)."""
+        """Solo feasibility and best-solo reductions for one cap (memoized)."""
         cached = self._cap_masks.get(cap_w)
         if cached is not None:
             return cached
-        pair_ok = self.pair_power <= cap_w
         solo_ok, best_idx, best_time, best_valid = {}, {}, {}, {}
         for kind in DeviceKind:
             ok = self.solo_chip_power[kind] <= cap_w
@@ -308,7 +381,6 @@ class TensorModel:
             best_valid[kind] = ok.any(axis=1)
         masks = _CapMasks(
             cap_w=cap_w,
-            pair_ok=pair_ok,
             solo_ok=solo_ok,
             best_solo_idx=best_idx,
             best_solo_time=best_time,
@@ -323,20 +395,18 @@ class TensorModel:
     # Predictor-equivalent queries (bitwise identical to the scalar chain)
     # ------------------------------------------------------------------
     def degradations(self, cpu_uid, gpu_uid, s: int) -> tuple[float, float]:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return (float(self.deg_c[i, j, s]), float(self.deg_g[i, j, s]))
+        deg_c, deg_g, _, _, _ = self._pair_row(cpu_uid, gpu_uid)
+        return (float(deg_c[s]), float(deg_g[s]))
 
     def corun_times(self, cpu_uid, gpu_uid, s: int) -> tuple[Seconds, Seconds]:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return (float(self.t_corun_c[i, j, s]), float(self.t_corun_g[i, j, s]))
+        _, _, t_c, t_g, _ = self._pair_row(cpu_uid, gpu_uid)
+        return (float(t_c[s]), float(t_g[s]))
 
     def pair_power_w(self, cpu_uid, gpu_uid, s: int) -> Watts:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        return float(self.pair_power[i, j, s])
+        return float(self._pair_row(cpu_uid, gpu_uid)[4][s])
 
     def feasible_pair_settings(self, cpu_uid, gpu_uid, cap_w: Watts) -> tuple:
-        i, j = self.index[cpu_uid], self.index[gpu_uid]
-        flags = self.masks(cap_w).pair_ok[i, j]
+        flags = self._pair_row(cpu_uid, gpu_uid)[4] <= cap_w
         return tuple(self.settings[s] for s in np.flatnonzero(flags))
 
     def feasible_solo_levels(self, uid, kind: DeviceKind, cap_w: Watts) -> tuple:
@@ -388,31 +458,17 @@ class TensorModel:
         return float(self.solo_chip_power[kind][self.index[uid], li])
 
 
-def _degradation_tensors(space, bw_c, bw_g, settings):
-    """(deg_c, deg_g) over the job-pair/setting cube, exact to the space."""
+def _anchor_weights(space, settings) -> np.ndarray | None:
+    """A staged space's ``(anchors, S)`` weights per setting; ``None`` if plain."""
     from repro.model.space import DegradationSpace, StagedDegradationSpace
 
     if type(space) is DegradationSpace:
-        # Scalar: max(0.0, grid(bw_c, bw_g)); the setting is ignored.
-        deg_c = np.maximum(_grid_eval(space.cpu_grid, bw_c, bw_g), 0.0)
-        deg_g = np.maximum(_grid_eval(space.gpu_grid, bw_c, bw_g), 0.0)
-        return deg_c, deg_g
-
+        return None
     assert type(space) is StagedDegradationSpace
-    # Scalar: sum(w_a * grid_a(bw_c, bw_g)) accumulated in anchor order from
-    # int 0, then max(0.0, float(value)).  0.0 + x and in-order adds keep the
-    # accumulation bitwise identical.
-    S = bw_c.shape[2]
-    weights = np.empty((len(space.anchors), S))
+    weights = np.empty((len(space.anchors), len(settings)))
     for s, setting in enumerate(settings):
         weights[:, s] = space._weights(setting)
-    acc_c = np.zeros(bw_c.shape)
-    acc_g = np.zeros(bw_c.shape)
-    for a, anchor in enumerate(space.anchors):
-        w = weights[a][None, None, :]
-        acc_c = acc_c + w * _grid_eval(anchor.cpu_grid, bw_c, bw_g)
-        acc_g = acc_g + w * _grid_eval(anchor.gpu_grid, bw_c, bw_g)
-    return np.maximum(acc_c, 0.0), np.maximum(acc_g, 0.0)
+    return weights
 
 
 # ----------------------------------------------------------------------
@@ -429,13 +485,14 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
     arithmetic — the base predictor is not *exactly* a
     :class:`~repro.model.predictor.CoRunPredictor` (oracle or noisy
     variants subclass or replace it), the space/table/power models are
-    subclassed, requested uids are missing from the table, or the tensors
-    would exceed :data:`MAX_TENSOR_ELEMENTS`.  Callers treat ``None`` as
-    "use the scalar path".
+    subclassed, or requested uids are missing from the table.  Callers
+    treat ``None`` as "use the scalar path".  The job count never declines:
+    a table within :data:`TABLE_WIDE_ELEMENTS` gets one model over all its
+    jobs, a larger one a model over just the requested jobs.
 
     Models are memoized per (base predictor identity, uid set), so every
     :class:`~repro.core.context.SchedulingContext` built over the same
-    model reuses one precompute.
+    model reuses one model and its pair tables.
     """
     from repro.hardware.power import UncorePowerModel
     from repro.model.interpolation import BilinearGrid
@@ -482,19 +539,13 @@ def tensorize(predictor, uids: Sequence[str] | None = None):
             return None
     else:
         need = table_uids
-    n_settings = base.processor.n_settings
-
-    def fits(us: tuple) -> bool:
-        return len(us) * len(us) * n_settings <= MAX_TENSOR_ELEMENTS
-
-    # Prefer a table-wide model (shared across job subsets); fall back to
-    # the requested subset when the full table is too large.
-    if fits(table_uids):
+    # Prefer a table-wide model (shared across job subsets); a large table
+    # would make every pair-table build pay for pairs nobody schedules.
+    n_table = len(table_uids)
+    if n_table * n_table * base.processor.n_settings <= TABLE_WIDE_ELEMENTS:
         chosen = table_uids
-    elif fits(need):
-        chosen = need
     else:
-        return None
+        chosen = need
 
     key = (id(base), chosen)
     model = _MODEL_MEMO.get(key)
@@ -649,29 +700,56 @@ class TensorBackedPredictor:
 
 
 class PairTables:
-    """Governor-resolved replay constants for one (tensor, governor, cap).
+    """Governor-resolved replay and ranking constants for one (tensor, governor, cap).
 
     For every (cpu job, gpu job) pair: the governor's chosen setting index
-    and the resulting co-run times and pair power; for every (job, device):
-    the chosen solo level's time and chip power.  These are exactly the
-    quantities the mean-field replay consumes, so a replay over the tables
-    is bitwise identical to one over (governor, predictor) — with the
-    single exception of infeasible combinations, which are flagged invalid
-    here and re-raised through the scalar path for identical errors.
+    and the resulting co-run times and pair power, plus the pair's
+    step-3 ranking — the value and setting of the governor's
+    ``min_pair_interference``; for every (job, device): the chosen solo
+    level's time and chip power.  These are exactly the quantities the
+    mean-field replay and the greedy pairing consume, so a replay over the
+    tables is bitwise identical to one over (governor, predictor) — with
+    the single exception of infeasible combinations, which are flagged
+    invalid here and re-raised through the scalar path for identical
+    errors.  Every table is ``(n, n)`` or ``(n,)``: :meth:`build` reduces
+    the pair space block by block and keeps no ``(n, n, S)`` array.
     """
 
-    def __init__(self, tensor, cap_w, pair_valid, pair_t_c, pair_t_g,
-                 pair_power, solo_valid, solo_t, solo_power):
+    def __init__(self, tensor, cap_w, pair_valid, pair_sidx, pair_t_c,
+                 pair_t_g, pair_power, rank_value, rank_sidx,
+                 solo_valid, solo_t, solo_power):
         self.tensor = tensor
         self.cap_w = cap_w
-        self.pair_valid = pair_valid
+        self.pair_valid = pair_valid      # (n, n) bool: any setting fits
+        self.pair_sidx = pair_sidx        # (n, n) int: governor's setting
         self.pair_t_c = pair_t_c
         self.pair_t_g = pair_t_g
         self.pair_power = pair_power
+        self.rank_value = rank_value      # (n, n) float: min ranking cost
+        self.rank_sidx = rank_sidx        # (n, n) int: its setting
         self.solo_valid = solo_valid      # kind -> (n,) bool
         self.solo_t = solo_t              # kind -> (n,) float
         self.solo_power = solo_power      # kind -> (n,) float
         self._packed = None
+
+    def covers(self, cpu_uid: str, gpu_uid: str) -> bool:
+        index = self.tensor.index
+        return cpu_uid in index and gpu_uid in index
+
+    def min_pair_interference(self, cpu_uid: str, gpu_uid: str):
+        """The governor's ``min_pair_interference`` answer, from the table.
+
+        ``(cost, setting)`` or ``None`` when no setting fits the cap; both
+        uids must be covered.
+        """
+        index = self.tensor.index
+        i, j = index[cpu_uid], index[gpu_uid]
+        if not self.pair_valid[i, j]:
+            return None
+        return (
+            float(self.rank_value[i, j]),
+            self.tensor.settings[int(self.rank_sidx[i, j])],
+        )
 
     @property
     def packed(self):
@@ -707,13 +785,23 @@ class PairTables:
 
         Only the two stock governors are reducible: the exact types
         :class:`~repro.core.freqpolicy.ModelGovernor` (minimum summed
-        co-run time / fastest feasible solo level) and
-        :class:`~repro.core.objectives.EnergyAwareGovernor` (minimum pair
-        energy or EDP).  A subclassed or custom governor returns ``None``
-        and the evaluator stays on the scalar replay.
+        co-run time / fastest feasible solo level; ranks by summed
+        degradations) and :class:`~repro.core.objectives.EnergyAwareGovernor`
+        (minimum pair energy or EDP; ranks by that same cost).  A
+        subclassed or custom governor returns ``None`` and the evaluator
+        stays on the scalar replay.
+
+        Walks :meth:`TensorModel.row_blocks` over the CPU-job rows, so the
+        working set is one block of at most :data:`BLOCK_ELEMENTS` cells
+        per quantity; tables are memoized per (governor type, objective,
+        cap) on the model.
         """
         from repro.core.freqpolicy import ModelGovernor
-        from repro.core.objectives import EnergyAwareGovernor, Objective
+        from repro.core.objectives import (
+            MAKESPAN_ENERGY_RHO,
+            EnergyAwareGovernor,
+            Objective,
+        )
 
         if getattr(governor, "cap_w", None) != cap_w:
             return None
@@ -725,72 +813,113 @@ class PairTables:
         cached = tensor._pair_tables.get(memo_key)
         if cached is not None:
             return cached
-        masks = tensor.masks(cap_w)
         if type(governor) is ModelGovernor:
-            # min over feasible settings of sum(corun_times) == t_c + t_g.
-            pair_cost = tensor.t_corun_c + tensor.t_corun_g
-            solo_cost = None
+            objective = None
         elif type(governor) is EnergyAwareGovernor:
-            # pair_energy_j: power * (t_c + t_g); EDP: energy * max(t_c, t_g).
-            from repro.core.objectives import MAKESPAN_ENERGY_RHO
-
-            energy = tensor.pair_power * (tensor.t_corun_c + tensor.t_corun_g)
-            if governor.objective is Objective.ENERGY:
-                pair_cost = energy
-            elif governor.objective is Objective.MAKESPAN_ENERGY:
-                # EnergyAwareGovernor._pair_cost order: max + RHO * energy.
-                pair_cost = (
-                    np.maximum(tensor.t_corun_c, tensor.t_corun_g)
-                    + MAKESPAN_ENERGY_RHO * energy
-                )
-            else:
-                pair_cost = energy * np.maximum(tensor.t_corun_c, tensor.t_corun_g)
-            solo_cost = {}
-            for kind in DeviceKind:
-                # solo_energy_j: chip_power * solo_time; EDP multiplies by
-                # solo_time again (EnergyAwareGovernor._solo_cost order).
-                e = tensor.solo_chip_power[kind] * tensor.solo_time[kind]
-                if governor.objective is Objective.ENERGY:
-                    solo_cost[kind] = e
-                elif governor.objective is Objective.MAKESPAN_ENERGY:
-                    solo_cost[kind] = (
-                        tensor.solo_time[kind] + MAKESPAN_ENERGY_RHO * e
-                    )
-                else:
-                    solo_cost[kind] = e * tensor.solo_time[kind]
+            objective = governor.objective
         else:
             return None
 
-        with np.errstate(invalid="ignore"):
-            masked = np.where(masks.pair_ok, pair_cost, np.inf)
-        sidx = np.argmin(masked, axis=2)
-        pair_valid = masks.pair_ok.any(axis=2)
-        take = np.take_along_axis
-        pair_t_c = take(tensor.t_corun_c, sidx[..., None], axis=2)[..., 0]
-        pair_t_g = take(tensor.t_corun_g, sidx[..., None], axis=2)[..., 0]
-        pair_power = take(tensor.pair_power, sidx[..., None], axis=2)[..., 0]
-
-        solo_valid, solo_t, solo_power = {}, {}, {}
         n = len(tensor.uids)
-        rows = np.arange(n)
+        pair_valid = np.empty((n, n), dtype=bool)
+        pair_sidx = np.empty((n, n), dtype=np.intp)
+        rank_sidx = np.empty((n, n), dtype=np.intp)
+        pair_t_c, pair_t_g, pair_power, rank_value = (
+            np.empty((n, n)) for _ in range(4)
+        )
+        take = np.take_along_axis
+        for rows in tensor.row_blocks(n, n):
+            deg_c, deg_g, t_c, t_g, power = tensor.pair_block(rows, slice(None))
+            ok = power <= cap_w
+            cost, rank = _block_costs(objective, deg_c, deg_g, t_c, t_g, power)
+            with np.errstate(invalid="ignore"):
+                masked = np.where(ok, cost, np.inf)
+            choice = np.argmin(masked, axis=2)[..., None]
+            pair_sidx[rows] = choice[..., 0]
+            pair_valid[rows] = ok.any(axis=2)
+            pair_t_c[rows] = take(t_c, choice, axis=2)[..., 0]
+            pair_t_g[rows] = take(t_g, choice, axis=2)[..., 0]
+            pair_power[rows] = take(power, choice, axis=2)[..., 0]
+            best = choice
+            if rank is not None:
+                with np.errstate(invalid="ignore"):
+                    masked = np.where(ok, rank, np.inf)
+                best = np.argmin(masked, axis=2)[..., None]
+            rank_sidx[rows] = best[..., 0]
+            rank_value[rows] = take(masked, best, axis=2)[..., 0]
+
+        masks = tensor.masks(cap_w)
+        solo_valid, solo_t, solo_power = {}, {}, {}
+        all_rows = np.arange(n)
         for kind in DeviceKind:
-            if solo_cost is None:
+            if objective is None:
                 idx = masks.best_solo_idx[kind]
             else:
+                # solo_energy_j: chip_power * solo_time; EDP multiplies by
+                # solo_time again (EnergyAwareGovernor._solo_cost order).
+                t = tensor.solo_time[kind]
+                e = tensor.solo_chip_power[kind] * t
+                if objective is Objective.ENERGY:
+                    cost = e
+                elif objective is Objective.MAKESPAN_ENERGY:
+                    cost = t + MAKESPAN_ENERGY_RHO * e
+                else:
+                    cost = e * t
                 with np.errstate(invalid="ignore"):
-                    c = np.where(masks.solo_ok[kind], solo_cost[kind], np.inf)
-                idx = np.argmin(c, axis=1)
+                    cost = np.where(masks.solo_ok[kind], cost, np.inf)
+                idx = np.argmin(cost, axis=1)
             solo_valid[kind] = masks.best_solo_valid[kind]
-            solo_t[kind] = tensor.solo_time[kind][rows, idx]
-            solo_power[kind] = tensor.solo_chip_power[kind][rows, idx]
+            solo_t[kind] = tensor.solo_time[kind][all_rows, idx]
+            solo_power[kind] = tensor.solo_chip_power[kind][all_rows, idx]
         tables = cls(
-            tensor, cap_w, pair_valid, pair_t_c, pair_t_g, pair_power,
-            solo_valid, solo_t, solo_power,
+            tensor, cap_w, pair_valid, pair_sidx, pair_t_c, pair_t_g,
+            pair_power, rank_value, rank_sidx, solo_valid, solo_t, solo_power,
         )
         if len(tensor._pair_tables) >= 16:
             tensor._pair_tables.pop(next(iter(tensor._pair_tables)))
         tensor._pair_tables[memo_key] = tables
         return tables
+
+
+def _block_costs(objective, deg_c, deg_g, t_c, t_g, power):
+    """A governor's (choice, ranking) costs over a pair block.
+
+    ``objective`` is ``None`` for ModelGovernor: it chooses by
+    ``sum(corun_times)`` == t_c + t_g and ranks by ``sum(degradations)``
+    == deg_c + deg_g (0 + d_c is exact).  EnergyAwareGovernor chooses and
+    ranks by its own pair cost (ranking ``None``: reuse the choice).
+    """
+    if objective is None:
+        return t_c + t_g, deg_c + deg_g
+    from repro.core.objectives import MAKESPAN_ENERGY_RHO, Objective
+
+    # pair_energy_j: power * (t_c + t_g); EnergyAwareGovernor._pair_cost
+    # order: energy, max + RHO * energy, or energy * max.
+    energy = power * (t_c + t_g)
+    if objective is Objective.ENERGY:
+        return energy, None
+    if objective is Objective.MAKESPAN_ENERGY:
+        return np.maximum(t_c, t_g) + MAKESPAN_ENERGY_RHO * energy, None
+    return energy * np.maximum(t_c, t_g), None
+
+
+def governor_tables(governor) -> PairTables | None:
+    """The :class:`PairTables` of a governor over a tensor-backed predictor.
+
+    Resolved once per governor (memoized on its ``_tables`` field against
+    its current predictor and cap) and ``None`` when the predictor is not
+    tensor-backed or the governor is not reducible — the caller then takes
+    its scalar path.
+    """
+    predictor, cap_w = governor.predictor, governor.cap_w
+    memo = governor._tables
+    if memo is not None and memo[0] is predictor and memo[1] == cap_w:
+        return memo[2]
+    tables = None
+    if isinstance(predictor, TensorBackedPredictor):
+        tables = PairTables.build(predictor.tensor, governor, cap_w)
+    governor._tables = (predictor, cap_w, tables)
+    return tables
 
 
 class BatchScheduleEvaluator(ScheduleEvaluator):
